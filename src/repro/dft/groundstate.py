@@ -3,15 +3,13 @@
 LR-TDDFT (Algorithm 1 of the paper) consumes exactly three things from the
 ground state: orbital energies, occupations, and *real-valued* real-space
 orbitals.  At the Gamma point of a real potential the KS orbitals can always
-be chosen real; :func:`realify_orbitals` enforces that choice even inside
-degenerate groups where a complex eigensolver returns arbitrary unitary
-mixtures.
+be chosen real; the SCF solves for them directly as real vectors in the
+packed cos/sin basis, and :func:`realify_orbitals` maps those to the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -21,75 +19,26 @@ from repro.utils.serialization import SerializableResult
 from repro.utils.validation import require
 
 
-def _degenerate_groups(energies: np.ndarray, tol: float = 1e-5) -> list[list[int]]:
-    """Chain nearly-degenerate consecutive energies into groups."""
-    groups: list[list[int]] = []
-    for i, e in enumerate(energies):
-        if groups and abs(e - energies[groups[-1][-1]]) < tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def realify_orbitals(packed: np.ndarray, basis: PlaneWaveBasis) -> np.ndarray:
+    """Real-space orbitals of real packed Gamma-point bands.
 
-
-def realify_orbitals(
-    coeffs: np.ndarray,
-    energies: np.ndarray,
-    basis: PlaneWaveBasis,
-    apply_h: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate Gamma-point orbitals to a real-valued gauge.
+    Packed bands (:meth:`repro.pw.basis.PlaneWaveBasis.pack`) are already
+    real H-eigenvectors, so this is the transform plus a sign convention:
+    each orbital's largest-magnitude grid value is positive.
 
     Parameters
     ----------
-    coeffs:
-        ``(n_bands, N_pw)`` complex sphere coefficients (rows = bands).
-    energies:
-        ``(n_bands,)`` eigenvalues, ascending.
-    apply_h:
-        The KS Hamiltonian block application (rows = bands), used to
-        re-diagonalize inside degenerate groups after realification.
+    packed:
+        ``(n_bands, N_pw)`` real packed coefficients (rows = bands).
 
     Returns
     -------
-    ``(orbitals_real, energies)`` with ``orbitals_real`` of shape
-    ``(n_bands, N_r)``, float64, orthonormal under the grid metric.
+    ``(n_bands, N_r)`` float64 orbitals, orthonormal under the grid metric.
     """
-    psi = basis.to_real(coeffs)  # (nb, Nr) complex
-    dv = basis.grid.dv
-    out = np.empty_like(psi, dtype=float)
-    new_energies = np.array(energies, dtype=float, copy=True)
-
-    for group in _degenerate_groups(np.asarray(energies, dtype=float)):
-        block = psi[group]  # (m, Nr)
-        m = len(group)
-        # Span of a conjugation-closed subspace: the real/imag parts contain
-        # an m-dimensional real basis. Extract it with an SVD.
-        stacked = np.vstack([block.real, block.imag])  # (2m, Nr)
-        _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-        require(
-            svals[m - 1] > 1e-8 * max(svals[0], 1e-30),
-            "degenerate group is not conjugation-closed; cannot realify "
-            "(is the Hamiltonian real at Gamma?)",
-        )
-        real_basis = vt[:m] / np.sqrt(dv)  # orthonormal under grid metric
-        if m == 1:
-            # Align sign with the dominant-amplitude convention.
-            peak = np.argmax(np.abs(real_basis[0]))
-            if real_basis[0, peak] < 0:
-                real_basis = -real_basis
-            out[group[0]] = real_basis[0]
-            continue
-        # Re-diagonalize H inside the real subspace to restore eigenvectors.
-        group_coeffs = basis.to_recip(real_basis.astype(complex))
-        h_block = apply_h(group_coeffs)
-        h_small = (group_coeffs.conj() @ h_block.T).real
-        h_small = 0.5 * (h_small + h_small.T)
-        evals, evecs = np.linalg.eigh(h_small)
-        out[group] = evecs.T @ real_basis
-        new_energies[group] = evals
-
-    return out, new_energies
+    psi = np.ascontiguousarray(basis.to_real(basis.unpack(packed)).real)
+    peak = np.abs(psi).argmax(axis=1)
+    psi *= np.sign(psi[np.arange(psi.shape[0]), peak])[:, None]
+    return psi
 
 
 @dataclass

@@ -7,9 +7,18 @@ sphere coefficients:
 * local effective potential — FFT to the grid, multiply, FFT back
   (the classic dual-space split the paper's Algorithm 1 also exploits),
 * non-local term — two skinny GEMMs against the KB projectors.
+
+:meth:`KohnShamHamiltonian.apply` acts on complex sphere coefficients (the
+real-time propagator's representation).  The Gamma-point band solve uses
+:meth:`KohnShamHamiltonian.apply_columns` instead, on real columns in the
+packed cos/sin basis of :meth:`repro.pw.basis.PlaneWaveBasis.pack`.  There
+``H`` is real-symmetric: ``V_eff`` is real, and the KB projectors satisfy
+``beta(-G) = beta(G)^*``, so they pack to real vectors.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +91,11 @@ class KohnShamHamiltonian:
         """Current total local effective potential on the grid."""
         return self._v_eff
 
+    @cached_property
+    def packed_projectors(self) -> np.ndarray:
+        """``(n_proj, N_pw)`` real packed KB projectors."""
+        return self.basis.pack(self.projectors.beta.T)
+
     # -- operator application ------------------------------------------------
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
@@ -101,30 +115,43 @@ class KohnShamHamiltonian:
         return out
 
     def apply_columns(self, x: np.ndarray) -> np.ndarray:
-        """Adapter for the eigensolvers: ``(N_pw, k)`` column blocks."""
-        return self.apply(x.T).T
+        """Eigensolver adapter: ``H @ X`` for real packed ``(N_pw, k)`` columns.
+
+        Returns real packed columns.  :meth:`~repro.pw.basis.PlaneWaveBasis.pack`
+        keeps the real part of ``V_eff psi`` (dropping the rounding-level
+        imaginary part), so the operator stays exactly real-symmetric.
+        """
+        basis = self.basis
+        rows = x.T
+        psi = basis.to_real(basis.unpack(rows))
+        psi *= self._v_eff
+        out = basis.pack(basis.to_recip(psi))
+        out += rows * basis.packed_kinetic_diagonal
+        beta = self.packed_projectors
+        if beta.shape[0]:
+            out += ((rows @ beta.T) * self.projectors.h) @ beta
+        return out.T
 
     # -- preconditioning ------------------------------------------------------
 
     def preconditioner(self, residual: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Teter-Payne-Allan preconditioner on ``(N_pw, k)`` residual columns.
+        """Teter-Payne-Allan preconditioner on real packed ``(N_pw, k)`` columns.
 
         Smooths the high-|G| components that dominate the residual early in
         the SCF; the polynomial form keeps it bounded for small kinetic
         energies (unlike a bare ``1/(G^2/2)``).
         """
-        kinetic = self.basis.kinetic_diagonal[:, None]
+        kinetic = self.basis.packed_kinetic_diagonal
+        squared = residual * residual
         # Per-column kinetic scale from the residual itself; robust floor.
         scale = np.maximum(
-            np.einsum("gk,g,gk->k", residual.conj(), self.basis.kinetic_diagonal, residual).real
-            / np.maximum(np.einsum("gk,gk->k", residual.conj(), residual).real, 1e-30),
-            1e-3,
+            (kinetic @ squared) / np.maximum(squared.sum(axis=0), 1e-30), 1e-3
         )
-        x = kinetic / scale[None, :]
+        x = kinetic[:, None] / scale[None, :]
         poly = 27.0 + 18.0 * x + 12.0 * x**2 + 8.0 * x**3
         return residual * (poly / (poly + 16.0 * x**4))
 
     def diagonal(self) -> np.ndarray:
-        """Approximate operator diagonal (for Davidson): kinetic + mean V."""
+        """Approximate packed operator diagonal (for Davidson): kinetic + mean V."""
         v_mean = float(self._v_eff.mean())
-        return self.basis.kinetic_diagonal + v_mean
+        return self.basis.packed_kinetic_diagonal + v_mean

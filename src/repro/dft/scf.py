@@ -2,8 +2,10 @@
 
 The loop is the standard PWDFT structure: density guess -> effective
 potential -> LOBPCG band solve (warm-started) -> occupations -> new density
--> Anderson mixing -> repeat; a final tight band solve polishes the orbitals
-before they are rotated to the real gauge LR-TDDFT requires.
+-> Anderson mixing -> repeat; a final tight band solve polishes the orbitals.
+Bands are real vectors in the packed cos/sin basis
+(:meth:`repro.pw.basis.PlaneWaveBasis.pack`), so every band solve runs in
+float64 and yields the real orbitals LR-TDDFT requires directly.
 """
 
 from __future__ import annotations
@@ -242,15 +244,15 @@ def run_scf(
                 f"warm-start orbitals must be ({n_bands}, {basis.n_r}), "
                 f"got {warm_start.orbitals_real.shape}",
             )
-            coeffs = basis.to_recip(warm_start.orbitals_real.astype(complex))
+            coeffs = basis.pack(basis.to_recip(warm_start.orbitals_real))
         else:
-            coeffs = basis.random_coefficients(n_bands, rng)
+            coeffs = basis.random_packed(n_bands, rng)
         if warm_start.residual_hint is not None:
             residual = float(warm_start.residual_hint)
         if warm_start.mixer_state is not None:
             mixer.load_state_dict(warm_start.mixer_state)
     else:
-        coeffs = basis.random_coefficients(n_bands, rng)
+        coeffs = basis.random_packed(n_bands, rng)
         with timers.scope("scf/guess"):
             density = atomic_guess_density(basis)
     e_ii = ewald_energy(cell)
@@ -286,7 +288,7 @@ def run_scf(
         energies = result.eigenvalues
         occupations = _occupations(energies, n_electrons, opts.smearing_width)
 
-        psi_real = basis.to_real(coeffs)
+        psi_real = basis.to_real(basis.unpack(coeffs))
         density_out = density_from_orbitals(psi_real, occupations, basis.grid.dv)
         delta = density_out - density
         residual = float(
@@ -332,7 +334,7 @@ def run_scf(
     else:
         info.iterations = opts.max_iter
 
-    # Final polish with the converged potential, then rotate to real gauge.
+    # Final polish with the converged potential.
     ham.update_density(density)
     with timers.scope("scf/polish"):
         result = lobpcg(
@@ -345,7 +347,7 @@ def run_scf(
     coeffs = result.eigenvectors.T
     energies = result.eigenvalues
     occupations = _occupations(energies, n_electrons, opts.smearing_width)
-    orbitals_real, energies = realify_orbitals(coeffs, energies, basis, ham.apply)
+    orbitals_real = realify_orbitals(coeffs, basis)
     density = density_from_orbitals(orbitals_real, occupations, basis.grid.dv)
     e_total = _total_energy(ham, energies, occupations, density, e_ii)
 

@@ -135,7 +135,7 @@ def run_scf_spin(
     require(n_bands <= basis.n_pw, "n_bands exceeds basis size; raise ecut")
     hams = [KohnShamHamiltonian(basis), KohnShamHamiltonian(basis)]
     rng = default_rng(seed)
-    coeffs = [basis.random_coefficients(n_bands, rng) for _ in range(2)]
+    coeffs = [basis.random_packed(n_bands, rng) for _ in range(2)]
 
     guess = atomic_guess_density(basis)
     m0 = min(abs(initial_magnetization), n_electrons) * np.sign(
@@ -179,7 +179,7 @@ def run_scf_spin(
             )
             coeffs[sigma] = result.eigenvectors.T
             energies[sigma] = result.eigenvalues
-            psi_real[sigma] = basis.to_real(coeffs[sigma])
+            psi_real[sigma] = basis.to_real(basis.unpack(coeffs[sigma]))
 
         occupations[0], occupations[1] = _common_fermi_occupations(
             energies[0], energies[1], n_electrons, smearing_width
@@ -210,7 +210,7 @@ def run_scf_spin(
                 densities[sigma], new_densities[sigma]
             )
 
-    # Final polish + real gauge per channel.
+    # Final polish per channel.
     update_potentials(densities)
     orbitals = np.empty((2, n_bands, basis.n_r))
     for sigma in range(2):
@@ -223,9 +223,7 @@ def run_scf_spin(
         )
         coeffs[sigma] = result.eigenvectors.T
         energies[sigma] = result.eigenvalues
-        orbitals[sigma], energies[sigma] = realify_orbitals(
-            coeffs[sigma], energies[sigma], basis, hams[sigma].apply
-        )
+        orbitals[sigma] = realify_orbitals(coeffs[sigma], basis)
     occupations[0], occupations[1] = _common_fermi_occupations(
         energies[0], energies[1], n_electrons, smearing_width
     )

@@ -12,8 +12,11 @@ update.  The operator is only ever used through block applications
 
 Robustness follows Duersch, Shao, Yang & Gu (SISC 2018, the paper's ref
 [11]): W and P are orthonormalized against the current X-block before the
-Rayleigh-Ritz solve, and the projected pencil is solved with a rank-revealing
-whitening that tolerates the near-dependence that appears at convergence.
+Rayleigh-Ritz solve, and the projected pencil is solved by a Cholesky
+factorization of its overlap, falling back to a rank-revealing whitening
+when the near-dependence that appears at convergence makes it
+ill-conditioned.  When ``3k >= n`` the trial subspace would span the whole
+space, so the solver does one exact Rayleigh-Ritz on it instead.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def lobpcg(
     Soft locking: once a Ritz pair converges its residual column is removed
     from the W/P expansion blocks (saving operator applications) but the
     vector stays in the subspace so later rotations keep it accurate.
+
+    Full space: when ``3k >= n`` the block ``[X, W, P]`` could span the whole
+    space, where its overlap is rank-deficient and the iteration stalls near
+    rounding level.  The solver then applies ``H`` to the identity once and
+    returns the exact lowest ``k`` pairs of that ``n x n`` matrix.
     """
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float, copy=True)
     n, k = x.shape
@@ -101,6 +109,8 @@ def lobpcg(
         raise ValueError("x0 must contain at least one column")
     if k > n:
         raise ValueError(f"requested {k} pairs from an order-{n} operator")
+    if 3 * k >= n:
+        return _full_space_rayleigh_ritz(apply_h, n, k, x.dtype, tol, callback)
 
     x = orthonormalize(x)
     p: np.ndarray | None = None
@@ -169,10 +179,12 @@ def lobpcg(
         h_blocks = [hx, apply_h(w)]
         if p is not None and p.shape[1] > 0:
             # Column-normalize P (pure scaling: the H P recurrence stays an
-            # exact linear combination, no cancellation); near-zero columns
-            # carry no new direction and are dropped.
+            # exact linear combination, no cancellation).  Only the columns
+            # of unconverged pairs are kept: a converged pair's direction is
+            # rounding noise once normalized, and nearly dependent on X.
+            # Near-zero columns carry no new direction and are dropped too.
             col_norms = np.linalg.norm(p, axis=0)
-            keep = col_norms > 1e-12
+            keep = active & (col_norms > 1e-12)
             if keep.any():
                 scale = 1.0 / col_norms[keep]
                 blocks.append(p[:, keep] * scale)
@@ -221,3 +233,21 @@ def lobpcg(
         (residual_norms <= tol * np.maximum(1.0, np.abs(theta))).all()
     )
     return EigenResult(theta, x, iteration, residual_norms, converged, tuple(history))
+
+
+def _full_space_rayleigh_ritz(
+    apply_h: ApplyFn, n: int, k: int, dtype, tol: float, callback
+) -> EigenResult:
+    """Exact lowest ``k`` pairs from one application of ``H`` to the identity."""
+    h = symmetrize(apply_h(np.eye(n, dtype=dtype)))
+    evals, evecs = np.linalg.eigh(h)
+    theta, x = evals[:k], np.ascontiguousarray(evecs[:, :k])
+    residual_norms = np.linalg.norm(h @ x - x * theta, axis=0)
+    if callback is not None:
+        callback(1, theta, residual_norms)
+    converged = bool(
+        (residual_norms <= tol * np.maximum(1.0, np.abs(theta))).all()
+    )
+    return EigenResult(
+        theta, x, 1, residual_norms, converged, (float(residual_norms.max()),)
+    )

@@ -53,6 +53,8 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
     ),
     "repro/parallel/pipeline.py": frozenset({"pipelined_vhxc_rows"}),
     "repro/eigen/lobpcg.py": frozenset({"lobpcg"}),
+    # Real packed Gamma-point basis: every band-solve H-apply crosses both.
+    "repro/pw/basis.py": frozenset({"PlaneWaveBasis.pack", "PlaneWaveBasis.unpack"}),
     # Shared-memory transport of the process SPMD backend: the per-epoch
     # publish/decode path every collective crosses.
     "repro/parallel/shm.py": frozenset(

@@ -12,7 +12,7 @@ stays on fast code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,25 @@ def grid_shape_for_cutoff(cell: UnitCell, ecut: float) -> tuple[int, int, int]:
     return tuple(good_fft_size(int(n)) for n in raw)  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=16)
+def fractional_grid_points(shape: tuple[int, int, int]) -> np.ndarray:
+    """``(N_r, 3)`` fractional coordinates of a grid shape, in C (FFT) order.
+
+    Shared read-only per shape, like :func:`repro.pw.gvectors.miller_table`,
+    so stored ground states do not each pin a copy.
+    """
+    n1, n2, n3 = shape
+    mesh = np.stack(
+        np.meshgrid(
+            np.arange(n1) / n1, np.arange(n2) / n2, np.arange(n3) / n3, indexing="ij"
+        ),
+        axis=-1,
+    )
+    points = mesh.reshape(-1, 3)
+    points.flags.writeable = False
+    return points
+
+
 @dataclass(frozen=True)
 class RealSpaceGrid:
     """A uniform real-space grid over a :class:`UnitCell`."""
@@ -64,15 +83,10 @@ class RealSpaceGrid:
         """Quadrature weight per point, Omega / N_r."""
         return self.cell.volume / self.n_points
 
-    @cached_property
+    @property
     def fractional_points(self) -> np.ndarray:
-        """``(N_r, 3)`` fractional coordinates in C (row-major) FFT order."""
-        n1, n2, n3 = self.shape
-        f1 = np.arange(n1) / n1
-        f2 = np.arange(n2) / n2
-        f3 = np.arange(n3) / n3
-        mesh = np.stack(np.meshgrid(f1, f2, f3, indexing="ij"), axis=-1)
-        return mesh.reshape(-1, 3)
+        """``(N_r, 3)`` fractional coordinates in C (row-major) FFT order (shared, read-only)."""
+        return fractional_grid_points(tuple(self.shape))
 
     @cached_property
     def cartesian_points(self) -> np.ndarray:

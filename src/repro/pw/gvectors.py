@@ -10,7 +10,7 @@ and potentials use the full grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,29 @@ from repro.pw.grid import RealSpaceGrid
 def fft_integer_frequencies(n: int) -> np.ndarray:
     """Integer FFT frequencies ``0, 1, ..., -1`` matching numpy's layout."""
     return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+
+
+@lru_cache(maxsize=16)
+def miller_table(shape: tuple[int, int, int]) -> np.ndarray:
+    """``(N_r, 3)`` integer Miller indices of a grid shape, in FFT ordering.
+
+    The table depends on the grid shape alone, so every :class:`GVectors`
+    of that shape shares one read-only copy: stored ground states do not
+    each pin their own.
+    """
+    n1, n2, n3 = shape
+    mesh = np.stack(
+        np.meshgrid(
+            fft_integer_frequencies(n1),
+            fft_integer_frequencies(n2),
+            fft_integer_frequencies(n3),
+            indexing="ij",
+        ),
+        axis=-1,
+    )
+    table = mesh.reshape(-1, 3)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -38,15 +61,10 @@ class GVectors:
     def cell(self) -> UnitCell:
         return self.grid.cell
 
-    @cached_property
+    @property
     def miller(self) -> np.ndarray:
-        """``(N_r, 3)`` integer Miller indices in FFT ordering."""
-        n1, n2, n3 = self.grid.shape
-        m1 = fft_integer_frequencies(n1)
-        m2 = fft_integer_frequencies(n2)
-        m3 = fft_integer_frequencies(n3)
-        mesh = np.stack(np.meshgrid(m1, m2, m3, indexing="ij"), axis=-1)
-        return mesh.reshape(-1, 3)
+        """``(N_r, 3)`` integer Miller indices in FFT ordering (shared, read-only)."""
+        return miller_table(tuple(self.grid.shape))
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -76,12 +94,16 @@ class GVectors:
         """Number of plane waves N_pw in the cutoff sphere."""
         return int(self.sphere.size)
 
-    @cached_property
+    # The sphere restrictions are gathered on each access rather than cached:
+    # they are read once per Hamiltonian, and a stored ground state should
+    # not pin them.
+
+    @property
     def g2_sphere(self) -> np.ndarray:
         """|G|^2 restricted to the sphere (kinetic-energy diagonal x2)."""
         return self.g2[self.sphere]
 
-    @cached_property
+    @property
     def g_sphere(self) -> np.ndarray:
         """``(N_pw, 3)`` Cartesian G-vectors of the sphere."""
         return self.g[self.sphere]

@@ -7,8 +7,11 @@ projection, and error metrics used throughout the test-suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -92,15 +95,57 @@ def rayleigh_ritz(
     return evals, coeffs
 
 
+@lru_cache(maxsize=None)
+def _pencil_lapack(is_complex: bool) -> tuple:
+    """LAPACK ``potrf, pocon, sygst/hegst, syevd/heevd, trtrs`` for one dtype."""
+    prefix, sym = ("z", "he") if is_complex else ("d", "sy")
+    names = ("potrf", "pocon", sym + "gst", sym + "evd", "trtrs")
+    return tuple(getattr(lapack, prefix + name) for name in names)
+
+
 def stable_generalized_eigh(
     a: np.ndarray, b: np.ndarray, *, cond_cut: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``A c = lambda B c`` robustly for possibly ill-conditioned ``B``.
 
-    The LOBPCG basis ``[X, W, P]`` becomes nearly linearly dependent close to
-    convergence, so a plain ``scipy.linalg.eigh(a, b)`` can fail.  We whiten
-    with the eigendecomposition of ``B``, discarding directions whose
-    eigenvalue is below ``cond_cut`` times the largest.
+    The fast path factors ``B = L L^H``, reduces the pencil to the standard
+    problem ``L^{-1} A L^{-H} y = lambda y`` and solves it with one ``eigh``
+    (LAPACK ``potrf``/``sygst``/``syevd``, called directly: at LOBPCG's
+    subspace widths the wrapper overhead of :mod:`scipy.linalg` is a
+    visible share of the solve).  The LOBPCG basis ``[X, W, P]`` becomes
+    nearly linearly dependent close to convergence, so when the Cholesky
+    factorization fails, or LAPACK's estimate of ``cond(B)`` exceeds
+    ``1 / cond_cut``, the pencil is solved by
+    :func:`whitened_generalized_eigh` instead.  Below that bound the
+    whitening would keep every direction, so both paths solve the same
+    pencil, with errors of the same ``eps * cond(B)`` order.
+    """
+    potrf, pocon, gst, evd, trtrs = _pencil_lapack(
+        bool(np.iscomplexobj(a) or np.iscomplexobj(b))
+    )
+    b = symmetrize(b)
+    chol, info = potrf(b, lower=1, clean=1)
+    if info == 0:
+        rcond, info = pocon(chol, np.linalg.norm(b, 1), uplo="L")
+        if info == 0 and rcond >= cond_cut:
+            a_std, info = gst(a, chol, itype=1, lower=1)
+            if info == 0:
+                evals, evecs, info = evd(a_std, compute_v=1, lower=1)
+            if info == 0:
+                coeffs, info = trtrs(chol, evecs, lower=1, trans=2)
+            if info == 0:
+                return evals, coeffs
+    return whitened_generalized_eigh(a, b, cond_cut=cond_cut)
+
+
+def whitened_generalized_eigh(
+    a: np.ndarray, b: np.ndarray, *, cond_cut: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``A c = lambda B c`` by whitening with the eigendecomposition of ``B``.
+
+    Directions whose ``B`` eigenvalue is below ``cond_cut`` times the
+    largest are discarded, so a rank-deficient ``B`` still yields a
+    well-defined (smaller) set of pairs.
     """
     b_evals, b_evecs = sla.eigh(symmetrize(b))
     keep = b_evals > cond_cut * max(b_evals[-1], np.finfo(float).tiny)

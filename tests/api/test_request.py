@@ -251,3 +251,21 @@ class TestLegacyShimsRouteThroughRequests:
         assert len(dep) == 1
         assert "BatchConfig" in str(dep[0].message)
         assert result.records[1].reused_identical
+
+
+class TestCasidaFullSpace:
+    def test_si2_request_at_stalling_lattice_converges(self):
+        """Regression: a cold Si2 tddft request at lattice a*(1 + 2e-4*116)
+        has n_pairs = 16 and k = 10, so LOBPCG's [X, W, P] could hold 30
+        columns in a 16-dimensional space.  It used to stall near the
+        tolerance for all 400 iterations; the full-space Rayleigh-Ritz
+        solves it exactly in one step."""
+        from repro.api import SCFConfig
+        from repro.api import request as request_module
+        from repro.atoms.structures import SILICON_A_BOHR, silicon_primitive_cell
+
+        cell = silicon_primitive_cell(SILICON_A_BOHR * (1.0 + 2e-4 * 116))
+        request = api.CalculationRequest(kind="tddft", structure=cell, scf=SCFConfig())
+        result = request_module.execute_request(request).result
+        assert result.converged
+        assert result.eigensolver_iterations == 1

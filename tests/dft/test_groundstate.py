@@ -3,23 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dft.groundstate import GroundState, _degenerate_groups
+from repro.dft.groundstate import GroundState
 from repro.synthetic import synthetic_ground_state
 from repro.atoms import silicon_primitive_cell
-
-
-class TestDegenerateGroups:
-    def test_all_distinct(self):
-        groups = _degenerate_groups(np.array([0.0, 1.0, 2.0]))
-        assert groups == [[0], [1], [2]]
-
-    def test_chains_neighbours(self):
-        e = np.array([0.0, 1.0, 1.0 + 1e-7, 2.0])
-        assert _degenerate_groups(e) == [[0], [1, 2], [3]]
-
-    def test_triple_degeneracy(self):
-        e = np.array([0.0, 1.0, 1.0, 1.0])
-        assert _degenerate_groups(e) == [[0], [1, 2, 3]]
 
 
 class TestGroundState:
@@ -80,3 +66,14 @@ class TestRealification:
         coeffs = gs.basis.to_recip(gs.orbitals_real.astype(complex))
         back = gs.basis.to_real(coeffs)
         assert np.abs(back.imag).max() < 1e-10
+
+    def test_sign_convention_peak_is_positive(self, si2_ground_state):
+        """Each orbital's largest-magnitude grid value is positive."""
+        psi = si2_ground_state.orbitals_real
+        peaks = psi[np.arange(psi.shape[0]), np.abs(psi).argmax(axis=1)]
+        assert (peaks > 0).all()
+
+    def test_orbitals_are_orthonormal(self, si2_ground_state):
+        gs = si2_ground_state
+        overlap = gs.orbitals_real @ gs.orbitals_real.T * gs.basis.grid.dv
+        np.testing.assert_allclose(overlap, np.eye(gs.n_bands), atol=1e-12)

@@ -64,18 +64,49 @@ def test_wrong_density_shape_rejected(ham):
 
 
 def test_apply_columns_transposition(ham):
+    """The packed real operator is the complex one, conjugated by pack."""
     rng = default_rng(2)
-    block = ham.basis.random_coefficients(3, rng)
+    basis = ham.basis
+    block = basis.random_packed(3, rng)
     np.testing.assert_allclose(
-        ham.apply_columns(block.T), ham.apply(block).T, atol=1e-14
+        ham.apply_columns(block.T),
+        basis.pack(ham.apply(basis.unpack(block))).T,
+        atol=1e-13,
+    )
+
+
+def test_apply_columns_is_real_symmetric_with_projectors():
+    """On Si2, u^T H v = v^T H u to 1e-12 with the KB projectors on."""
+    from repro.atoms import silicon_primitive_cell as si2
+
+    basis = PlaneWaveBasis(si2(), ecut=8.0)
+    h = KohnShamHamiltonian(basis)
+    h.update_density(atomic_guess_density(basis))
+    assert h.projectors.n_projectors > 0
+    assert np.abs(h.packed_projectors).max() > 0
+    rng = default_rng(5)
+    uv = basis.random_packed(2, rng).T
+    hu_hv = h.apply_columns(uv)
+    assert hu_hv.dtype == np.float64
+    lhs = uv[:, 0] @ hu_hv[:, 1]
+    rhs = uv[:, 1] @ hu_hv[:, 0]
+    assert abs(lhs - rhs) < 1e-12
+
+
+def test_packed_projectors_are_the_packed_complex_ones(ham):
+    """beta(-G) = beta(G)^*: packing the KB projectors loses nothing."""
+    beta = ham.projectors.beta.T
+    np.testing.assert_allclose(
+        ham.basis.unpack(ham.packed_projectors), beta, atol=1e-14
     )
 
 
 def test_preconditioner_damps_high_g(ham):
     rng = default_rng(3)
-    r = ham.basis.random_coefficients(2, rng).T
+    r = ham.basis.random_packed(2, rng).T
     out = ham.preconditioner(r, np.zeros(2))
-    kinetic = ham.basis.kinetic_diagonal
+    assert out.dtype == np.float64
+    kinetic = ham.basis.packed_kinetic_diagonal
     hi = kinetic > 0.8 * kinetic.max()
     lo = kinetic < 0.2 * kinetic.max()
     damp_hi = np.abs(out[hi]).mean() / np.abs(r[hi]).mean()
@@ -85,7 +116,6 @@ def test_preconditioner_damps_high_g(ham):
 
 def test_diagonal_has_kinetic_shape(ham):
     d = ham.diagonal()
+    kinetic = ham.basis.packed_kinetic_diagonal
     assert d.shape == (ham.basis.n_pw,)
-    np.testing.assert_allclose(
-        d - d[0], ham.basis.kinetic_diagonal - ham.basis.kinetic_diagonal[0]
-    )
+    np.testing.assert_allclose(d - d[0], kinetic - kinetic[0])

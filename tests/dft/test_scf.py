@@ -120,3 +120,44 @@ class TestOptions:
         opts = SCFOptions()
         assert opts.mixer == "anderson"
         assert opts.smearing_width == 0.0
+
+
+class TestRealArithmetic:
+    """The Gamma-point band solve runs in float64 end to end."""
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        seen = []
+        real_lobpcg = module.lobpcg
+
+        def spy(apply_h, x0, **kwargs):
+            def checked(x):
+                out = apply_h(x)
+                seen.append((x.dtype, out.dtype))
+                return out
+
+            seen.append((x0.dtype, x0.dtype))
+            result = real_lobpcg(checked, x0, **kwargs)
+            seen.append((result.eigenvectors.dtype, result.eigenvectors.dtype))
+            return result
+
+        monkeypatch.setattr(module, "lobpcg", spy)
+        return seen
+
+    def test_run_scf_hands_lobpcg_float64_blocks(self, monkeypatch):
+        import repro.dft.scf as scf_module
+
+        seen = self._spy(monkeypatch, scf_module)
+        gs = run_scf(silicon_primitive_cell(), ecut=5.0, n_bands=6, seed=0)
+        assert gs.converged
+        assert len(seen) > 10
+        assert set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+    def test_run_scf_spin_hands_lobpcg_float64_blocks(self, monkeypatch):
+        import repro.dft.scf_spin as scf_spin_module
+        from repro.dft import run_scf_spin
+
+        seen = self._spy(monkeypatch, scf_spin_module)
+        run_scf_spin(silicon_primitive_cell(), ecut=4.0, n_bands=6, max_iter=2, seed=0)
+        assert len(seen) > 10
+        assert set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}

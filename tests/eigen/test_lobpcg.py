@@ -86,6 +86,29 @@ class TestRobustness:
             np.sort(res.eigenvalues), np.linalg.eigvalsh(a), atol=1e-7
         )
 
+    def test_full_space_when_block_would_span_it(self, rng):
+        """3k >= n: one Rayleigh-Ritz on the whole space, exact in one step."""
+        a = _random_symmetric(16, rng)
+        calls = []
+
+        def apply_h(x):
+            calls.append(x.shape[1])
+            return a @ x
+
+        res = lobpcg(apply_h, rng.standard_normal((16, 6)), tol=1e-8)
+        assert calls == [16]
+        assert res.converged and res.iterations == 1
+        np.testing.assert_allclose(res.eigenvalues, np.linalg.eigvalsh(a)[:6], atol=1e-12)
+        np.testing.assert_allclose(
+            a @ res.eigenvectors, res.eigenvectors * res.eigenvalues, atol=1e-12
+        )
+
+    def test_iterates_when_block_is_below_a_third(self, rng):
+        a = _random_symmetric(16, rng)
+        res = lobpcg(lambda x: a @ x, rng.standard_normal((16, 5)), tol=1e-8)
+        assert res.converged and res.iterations > 1
+        np.testing.assert_allclose(res.eigenvalues, np.linalg.eigvalsh(a)[:5], atol=1e-8)
+
     def test_k_larger_than_n_rejected(self, rng):
         with pytest.raises(ValueError):
             lobpcg(lambda x: x, rng.standard_normal((3, 5)))

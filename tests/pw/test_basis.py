@@ -81,3 +81,51 @@ def test_batched_to_real_matches_loop(basis):
     batched = basis.to_real(c)
     for i in range(3):
         np.testing.assert_allclose(batched[i], basis.to_real(c[i]))
+
+
+# -- the real packed basis -----------------------------------------------------
+
+
+def test_unpack_is_unitary(basis):
+    """unpack's matrix (columns = unpacked unit vectors) is unitary."""
+    u = basis.unpack(np.eye(basis.n_pw))
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(basis.n_pw), atol=1e-14)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(basis.n_pw), atol=1e-14)
+
+
+def test_pack_unpack_roundtrip(basis):
+    packed = basis.random_packed(4, default_rng(8))
+    np.testing.assert_allclose(basis.pack(basis.unpack(packed)), packed, rtol=0, atol=1e-15)
+    # A real orbital on the grid packs losslessly.
+    psi = basis.to_real(basis.unpack(packed)).real
+    coeffs = basis.to_recip(psi)
+    np.testing.assert_allclose(basis.unpack(basis.pack(coeffs)), coeffs, atol=1e-14)
+    np.testing.assert_allclose(basis.pack(coeffs), packed, atol=1e-14)
+
+
+def test_unpacked_orbitals_are_real_and_normalized(basis):
+    packed = basis.random_packed(3, default_rng(9))
+    psi = basis.to_real(basis.unpack(packed))
+    assert np.abs(psi.imag).max() < 1e-14
+    norms = (psi.real**2).sum(axis=1) * basis.grid.dv
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def test_packing_pairs_inverse_g_vectors(basis):
+    self_conjugate, plus, minus = basis.packing
+    miller = basis.gvectors.miller[basis.gvectors.sphere]
+    np.testing.assert_array_equal(miller[plus], -miller[minus])
+    np.testing.assert_array_equal(self_conjugate, [0])
+    assert self_conjugate.size + 2 * plus.size == basis.n_pw
+    np.testing.assert_allclose(
+        basis.packed_kinetic_diagonal,
+        basis.kinetic_diagonal[np.concatenate([self_conjugate, plus, minus])],
+        rtol=1e-14,
+    )
+
+
+def test_random_packed_is_real_normalized_and_deterministic(basis):
+    a = basis.random_packed(3, default_rng(7))
+    assert a.dtype == np.float64
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(a, basis.random_packed(3, default_rng(7)))

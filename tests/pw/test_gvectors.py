@@ -81,3 +81,10 @@ def test_structure_factor_sphere_consistent(gvec):
 def test_g_vectors_match_miller_times_reciprocal(gvec):
     recon = gvec.miller @ gvec.cell.reciprocal_lattice
     np.testing.assert_allclose(gvec.g, recon)
+
+
+def test_miller_table_is_shared_and_read_only(gvec):
+    """One read-only table per grid shape, whatever the cell."""
+    other = GVectors(RealSpaceGrid(UnitCell.cubic(8.5), gvec.grid.shape), ecut=4.0)
+    assert other.miller is gvec.miller
+    assert not gvec.miller.flags.writeable

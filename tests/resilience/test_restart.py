@@ -218,6 +218,10 @@ class TestSCFRestart:
         assert [h["residual"] for h in restarted.history] == [
             h["residual"] for h in reference.history
         ]
+        # The snapshots hold the real packed band coefficients.
+        _, state = CheckpointManager(tmp_path, tag="scf").latest()
+        assert state["coeffs"].dtype == np.float64
+        assert state["coeffs"].shape == (6, reference.basis.n_pw)
 
     def test_options_driven_checkpointing_writes_snapshots(self, tmp_path):
         cell = silicon_primitive_cell()

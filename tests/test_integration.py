@@ -155,7 +155,7 @@ class TestCrossSolverGroundState:
         ham = KohnShamHamiltonian(gs.basis)
         ham.update_density(gs.density)
         rng = default_rng(0)
-        x0 = gs.basis.random_coefficients(6, rng).T
+        x0 = gs.basis.random_packed(6, rng).T
         res_l = lobpcg(
             ham.apply_columns, x0, preconditioner=ham.preconditioner,
             tol=1e-9, max_iter=300,

@@ -10,6 +10,7 @@ from repro.utils.linalg import (
     relative_error,
     stable_generalized_eigh,
     symmetrize,
+    whitened_generalized_eigh,
 )
 
 
@@ -114,6 +115,58 @@ class TestStableGeneralizedEigh:
     def test_zero_b_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             stable_generalized_eigh(np.eye(3), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_cholesky_matches_whitening(self, rng, dtype):
+        """On a well-conditioned pencil the Cholesky Rayleigh-Ritz and the
+        whitening solve agree to 1e-12 (vectors up to a phase)."""
+        n = 24
+        a = rng.standard_normal((n, n)).astype(dtype)
+        s = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((n, n))
+            s += 1j * rng.standard_normal((n, n))
+        a = symmetrize(a) + np.diag(np.arange(n, dtype=float))
+        b = symmetrize(s @ s.conj().T) + n * np.eye(n)
+        evals, vecs = stable_generalized_eigh(a, b)
+        ref_evals, ref_vecs = whitened_generalized_eigh(a, b)
+        np.testing.assert_allclose(evals, ref_evals, rtol=0, atol=1e-12)
+        phase = np.sum(ref_vecs.conj() * vecs, axis=0)
+        phase /= np.abs(phase)
+        np.testing.assert_allclose(vecs, ref_vecs * phase, rtol=0, atol=1e-12)
+
+    def test_well_conditioned_pencil_skips_the_fallback(self, rng, monkeypatch):
+        import repro.utils.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(
+            linalg, "whitened_generalized_eigh",
+            lambda *args, **kw: calls.append(1) or whitened_generalized_eigh(*args, **kw),
+        )
+        b = rng.standard_normal((8, 8))
+        linalg.stable_generalized_eigh(np.eye(8), b @ b.T + 8 * np.eye(8))
+        assert calls == []
+
+    @pytest.mark.parametrize("rank_deficient", ["singular", "ill-conditioned"])
+    def test_rank_deficient_overlap_takes_the_fallback(
+        self, rng, monkeypatch, rank_deficient
+    ):
+        import repro.utils.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(
+            linalg, "whitened_generalized_eigh",
+            lambda *args, **kw: calls.append(1) or whitened_generalized_eigh(*args, **kw),
+        )
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        spectrum = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        if rank_deficient == "ill-conditioned":
+            spectrum[-1] = 1e-14  # Cholesky succeeds, cond(B) > the bound
+        b = q @ np.diag(spectrum) @ q.T
+        evals, vecs = linalg.stable_generalized_eigh(np.diag(np.arange(1.0, 7.0)), b)
+        assert calls == [1]
+        assert evals.shape[0] == 5
+        assert np.all(np.isfinite(vecs))
 
 
 class TestRelativeError:
