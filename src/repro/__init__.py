@@ -16,12 +16,17 @@ Layers (bottom up):
 * :mod:`repro.analysis`, :mod:`repro.data` — DOS/accuracy post-processing
   and the paper's reported numbers.
 
-Quick start (the typed facade — see :mod:`repro.api` and ``docs/api.md``)::
+Quick start (one typed request — see :mod:`repro.api` and ``docs/api.md``)::
 
     from repro import api, silicon_primitive_cell
 
-    gs = api.run_scf(silicon_primitive_cell(), api.SCFConfig(ecut=10.0, n_bands=10))
-    result = api.solve_tddft(gs, api.TDDFTConfig(n_excitations=5))
+    request = api.CalculationRequest(
+        kind="tddft",
+        structure=silicon_primitive_cell(),
+        scf=api.SCFConfig(ecut=10.0, n_bands=10),
+        tddft=api.TDDFTConfig(n_excitations=5),
+    )
+    result = request.compute()
     print(result.energies)
 """
 

@@ -10,9 +10,6 @@ Everything a downstream user needs lives here:
 * config objects: :class:`SCFConfig`, :class:`TDDFTConfig`,
   :class:`RTConfig`, :class:`BatchConfig`, :class:`ResilienceConfig`
   (frozen dataclasses with exact dict round-trip);
-* legacy entry points: :func:`run_scf`, :func:`solve_tddft`,
-  :func:`run_batch`, :func:`run_rt` — deprecation shims that build a
-  request and execute it through the same path;
 * result types: :class:`SCFResult` (= :class:`~repro.dft.GroundState`),
   :class:`LRTDDFTResult`, :class:`RTResult` — all with ``save``/``load`` —
   and the batch containers :class:`BatchResult` / :class:`FrameRecord`;
@@ -37,10 +34,6 @@ from repro.api.facade import (
     install_fft_fallback,
     load_result,
     reset_deprecation_warnings,
-    run_batch,
-    run_rt,
-    run_scf,
-    solve_tddft,
 )
 from repro.api.request import (
     REQUEST_KINDS,
@@ -72,10 +65,6 @@ __all__ = [
     "install_fft_fallback",
     "load_result",
     "reset_deprecation_warnings",
-    "run_batch",
-    "run_rt",
-    "run_scf",
-    "solve_tddft",
     "structure_from_dict",
     "structure_to_dict",
 ]

@@ -125,7 +125,7 @@ class TDDFTConfig(_ConfigBase):
 
 @dataclass(frozen=True)
 class RTConfig(_ConfigBase):
-    """Real-time TDDFT propagation parameters (mirrors :func:`repro.api.run_rt`).
+    """Real-time TDDFT propagation parameters of a ``kind="rt"`` request.
 
     Attributes
     ----------
@@ -182,7 +182,7 @@ class RTConfig(_ConfigBase):
 
 @dataclass(frozen=True)
 class BatchConfig(_ConfigBase):
-    """Cross-calculation batch parameters (see :func:`repro.api.run_batch`).
+    """Cross-calculation batch parameters of a ``kind="batch"`` request.
 
     Attributes
     ----------
@@ -190,9 +190,8 @@ class BatchConfig(_ConfigBase):
         Per-frame pipeline configs, shared by every frame.
     warm_start:
         Master switch for all cross-frame reuse.  Off, every frame runs
-        exactly as a standalone calculation (bit-identical to calling
-        :func:`repro.api.run_scf` + :func:`repro.api.solve_tddft` per
-        frame).
+        exactly as a standalone calculation (bit-identical to a
+        ``kind="tddft"`` request per frame).
     density_extrapolation:
         Starting-density policy under warm start: ``"quadratic"``
         (default; three-frame extrapolation), ``"linear"``, or ``"none"``
@@ -307,9 +306,6 @@ class ResilienceConfig(_ConfigBase):
         Resume each checkpointed loop from its newest snapshot.
     keep_last:
         Retain only the newest N snapshots per loop (0 = keep all).
-    max_retries / backoff / backoff_factor:
-        Retry-with-exponential-backoff parameters for transient faults
-        (see :class:`repro.resilience.RetryPolicy`).
     fft_fallback:
         Degrade the process-wide FFT backend scipy -> numpy on the first
         transform failure (:class:`repro.resilience.ResilientFFTEngine`).
@@ -326,9 +322,6 @@ class ResilienceConfig(_ConfigBase):
     checkpoint_every: int = 1
     restart: bool = False
     keep_last: int = 0
-    max_retries: int = 3
-    backoff: float = 0.01
-    backoff_factor: float = 2.0
     fft_fallback: bool = True
     selection_fallback: str | None = "qrcp"
     dense_fallback_max_pairs: int = 512
@@ -340,23 +333,9 @@ class ResilienceConfig(_ConfigBase):
         )
         require(self.keep_last >= 0, f"keep_last must be >= 0, got {self.keep_last}")
         require(
-            self.max_retries >= 0,
-            f"max_retries must be >= 0, got {self.max_retries}",
-        )
-        require(
             self.selection_fallback in (None, "qrcp"),
             f"selection_fallback must be None or 'qrcp', "
             f"got {self.selection_fallback!r}",
-        )
-
-    def retry_policy(self):
-        """The :class:`repro.resilience.RetryPolicy` these knobs describe."""
-        from repro.resilience.policies import RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            backoff_factor=self.backoff_factor,
         )
 
     def checkpointer(self, tag: str):

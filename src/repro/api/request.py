@@ -3,9 +3,6 @@
 A :class:`CalculationRequest` describes a complete calculation — *what* to
 compute (``kind``), *on which* structure(s), and *how* (the nested frozen
 config objects plus an optional :class:`~repro.api.config.ResilienceConfig`).
-It replaces the four parallel facade entry points (``run_scf`` /
-``solve_tddft`` / ``run_rt`` / ``run_batch``), which survive as thin
-deprecation shims that build a request and execute it.
 
 The request's **canonical serialization is its identity**: ``to_dict()``
 produces a nested tree of primitives (configs via their exact dict
@@ -15,13 +12,12 @@ that tree.  Python's JSON float encoding uses ``repr`` (shortest
 round-trip), so the key is invariant under serialize/deserialize cycles and
 under dict-key ordering, and two requests that would produce bit-identical
 results hash equal while any physical or numerical difference — a perturbed
-atom, a changed tolerance — changes the key.  The facade, the job server
-(:mod:`repro.serve`) and the result store all use this one hash path.
+atom, a changed tolerance — changes the key.  The job server
+(:mod:`repro.serve`) and the result store both use this one hash path.
 
 Execution:
 
-* :meth:`CalculationRequest.compute` — synchronous, in-process, no cache:
-  exactly what the legacy entry points did.
+* :meth:`CalculationRequest.compute` — synchronous, in-process, no cache.
 * :meth:`CalculationRequest.submit` — hand the request to a
   :class:`repro.serve.CalculationServer` (the process-default one when none
   is given) and get a :class:`repro.serve.JobHandle` back; repeat requests
@@ -245,9 +241,9 @@ class CalculationRequest:
     def cache_key(self) -> str:
         """Content hash (sha256 hex) of the canonical serialization.
 
-        This is *the* dedup/cache identity used by the facade shims, the
-        job server and the result store: equal keys license serving a
-        stored result bit-identically.
+        This is *the* dedup/cache identity used by the job server and the
+        result store: equal keys license serving a stored result
+        bit-identically.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
@@ -274,8 +270,7 @@ class CalculationRequest:
     def compute(self):
         """Run this request synchronously in the current process.
 
-        No queue, no cache — the direct equivalent of the legacy entry
-        points.  Returns the kind's result object (:class:`~repro.dft.
+        No queue, no cache.  Returns the kind's result object (:class:`~repro.dft.
         GroundState`, :class:`~repro.core.driver.LRTDDFTResult`,
         :class:`~repro.rt.tddft.RTResult` or
         :class:`~repro.batch.results.BatchResult`).
@@ -422,15 +417,14 @@ def execute_request(
     """Execute a request in-process and return result + reusable artifacts.
 
     This is the single execution path behind :meth:`CalculationRequest.
-    compute`, the legacy facade shims, and the job-server workers.
+    compute` and the job-server workers.
 
     Parameters
     ----------
     ground_state:
         Precomputed ground state for tddft/rt kinds: the SCF stage is
-        skipped entirely (``scf_iterations=0``).  Used by the legacy
-        ``solve_tddft(gs, ...)`` / ``run_rt(gs, ...)`` shims and by the
-        server on an SCF-subrequest cache hit.
+        skipped entirely (``scf_iterations=0``).  Used by the CLI and by
+        the server on an SCF-subrequest cache hit.
     scf_warm:
         Optional :class:`~repro.dft.scf.SCFWarmStart` seeding the SCF
         stage (the server's nearest-cached-ground-state warm start).

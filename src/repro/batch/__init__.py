@@ -1,7 +1,7 @@
 """Cross-calculation batching: warm-started pipelines over structure sets.
 
-See :func:`repro.batch.run_batch` (also exported as
-:func:`repro.api.run_batch`) and ``docs/batching.md``.
+See :func:`repro.batch.run_batch` (run through a ``kind="batch"``
+:class:`repro.api.CalculationRequest`) and ``docs/batching.md``.
 """
 
 from repro.batch.engine import run_batch

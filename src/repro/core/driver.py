@@ -300,7 +300,8 @@ class LRTDDFTSolver:
                     "LRTDDFTSolver.solve:kwargs",
                     "passing solver keywords to LRTDDFTSolver.solve() is "
                     "deprecated; build a repro.api.TDDFTConfig and call "
-                    "solve(config) (or use repro.api.solve_tddft)",
+                    "solve(config) (or submit a kind='tddft' "
+                    "repro.api.CalculationRequest)",
                 )
             n_excitations = legacy.get("n_excitations")
             n_mu = legacy.get("n_mu")

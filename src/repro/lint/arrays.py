@@ -41,10 +41,10 @@ callee's contract.  On top of the interpreter sit five project rules:
   kernels that materialize a temporary larger than both operands
   (mutual ``(n, 1) x (1, m)`` outer-product style).
 * ``collective-buffer-contract`` — buffers fed to the reducing
-  collectives (``reduce``/``allreduce``/``ireduce``/
-  ``verified_allreduce``) must have rank-invariant shape: a buffer whose
-  inferred shape contains a rank-dependent dim is statically the
-  allreduce-on-ragged-buffer class the runtime sanitizer only sees live.
+  collectives (``reduce``/``allreduce``/``ireduce``) must have
+  rank-invariant shape: a buffer whose inferred shape contains a
+  rank-dependent dim is statically the allreduce-on-ragged-buffer class
+  the runtime sanitizer only sees live.
   (The ragged-tolerant collectives — gather/allgather/scatter/alltoall/
   bcast — accept per-rank shapes by design and are not constrained.)
 
@@ -125,9 +125,7 @@ _SLAB_PUBLISH_QUALNAMES = frozenset(
     {"SharedSlab.write", "SlabArena.write_array"}
 )
 #: Collectives whose buffers must be shape-identical on every rank.
-_REDUCING_COLLECTIVES = frozenset(
-    {"allreduce", "ireduce", "reduce", "verified_allreduce"}
-)
+_REDUCING_COLLECTIVES = frozenset({"allreduce", "ireduce", "reduce"})
 
 _DTYPE_RANK = {name: rank for rank, name in enumerate(DTYPE_LATTICE)}
 
@@ -1620,5 +1618,5 @@ class CollectiveBufferContract(_ArrayRule):
     name = "collective-buffer-contract"
     description = (
         "buffer with rank-dependent shape fed to a reducing collective "
-        "(reduce/allreduce/ireduce/verified_allreduce)"
+        "(reduce/allreduce/ireduce)"
     )

@@ -192,7 +192,6 @@ _COLLECTIVES = frozenset(
         "gather",
         "reduce",
         "scatter",
-        "verified_allreduce",
     }
 )
 
@@ -338,7 +337,7 @@ _WALLCLOCK = frozenset(
 )
 _SEEDED_RNG_FACTORIES = frozenset({"default_rng", "Generator", "SeedSequence"})
 _DICT_ITERATORS = frozenset({"items", "keys", "values"})
-_REDUCTIONS = frozenset({"allreduce", "reduce", "sum", "verified_allreduce"})
+_REDUCTIONS = frozenset({"allreduce", "reduce", "sum"})
 
 
 def _is_replay_scope(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -463,7 +462,6 @@ _RECV_METHODS = frozenset({"recv", "bcast", "scatter"})
 _RECV_FUNCS = frozenset(
     {
         "allgather_rows",
-        "reliable_recv",
         "row_block_to_block_cyclic",
         "transpose_to_column_block",
         "transpose_to_row_block",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ class MessageTimeout(RuntimeError):
     """A point-to-point receive waited past its deadline.
 
     Raised instead of the queue's anonymous ``Empty`` so retry policies
-    (:mod:`repro.resilience.policies`) can treat lost messages as a
+    (:mod:`repro.resilience.policies`) can treat a missing message as a
     typed, retryable condition.
     """
 
@@ -277,13 +276,6 @@ class Communicator:
         if sanitizer is not None:
             sanitizer.on_collective(self._rank, op, value, detail=detail, track=track)
 
-    def _fault_corrupt(self, op: str, value):
-        """Give the injector a chance to poison a reduce contribution."""
-        injector = self._shared.fault_injector
-        if injector is not None:
-            return injector.corrupt_value(self._rank, op, value)
-        return value
-
     # -- synchronization ---------------------------------------------------
 
     def barrier(self) -> None:
@@ -409,7 +401,6 @@ class Communicator:
     def reduce(self, value, root: int = 0, op: str = "sum"):
         """Reduce to ``root``; traffic = one payload per non-root rank."""
         self._enter("reduce", value, detail=f"root={root},op={op}")
-        value = self._fault_corrupt("reduce", value)
         snapshot = self._post(value)
         result = self._combine(snapshot, op) if self._rank == root else None
         self._complete()
@@ -421,7 +412,6 @@ class Communicator:
     def allreduce(self, value, op: str = "sum"):
         """Allreduce; traffic per rank = 2 (P-1)/P payload (ring convention)."""
         self._enter("allreduce", value, detail=f"op={op}")
-        value = self._fault_corrupt("allreduce", value)
         snapshot = self._post(value)
         result = self._combine(snapshot, op)
         self._complete()
@@ -462,7 +452,6 @@ class Communicator:
             f"ireduce payload must be an ndarray, got {type(value).__name__}",
         )
         self._enter("reduce", value, detail=f"root={root},op=sum,async", track=False)
-        value = self._fault_corrupt("reduce", value)
         seq = self._ireduce_seq.get(root, 0)
         self._ireduce_seq[root] = seq + 1
         if wire_dtype is None:
@@ -506,60 +495,28 @@ class Communicator:
 
     def send(self, value, dest: int, tag: int = 0) -> None:
         require(0 <= dest < self.size, f"bad destination {dest}")
-        injector = self._shared.fault_injector
-        if injector is not None:
-            spec = injector.on_send(self._rank, dest, tag=tag)
-            if spec is not None and spec.kind == "drop_message":
-                self.traffic.record("p2p_dropped", _nbytes(value))
-                return  # the network ate it
-            if spec is not None and spec.kind == "delay_message":
-                time.sleep(spec.delay)
         self.traffic.record("p2p", _nbytes(value))
         self._shared.queues[(self._rank, dest)].put((tag, value))
 
-    def recv(
-        self,
-        source: int,
-        tag: int = 0,
-        *,
-        timeout: float = 60.0,
-        strict_tags: bool = True,
-    ):
+    def recv(self, source: int, tag: int = 0, *, timeout: float = 60.0):
         """Blocking receive; raises :class:`MessageTimeout` on expiry.
 
-        With ``strict_tags`` (the default) an arrival carrying a different
-        tag is a programming error and raises ``ValueError``.  The
-        reliable-delivery layer passes ``strict_tags=False`` so stale
-        duplicates from resent messages are buffered and re-queued instead
-        of poisoning the channel.
+        An arrival carrying a different tag is a programming error and
+        raises ``ValueError``.
         """
         require(0 <= source < self.size, f"bad source {source}")
-        chan = self._shared.queues[(source, self._rank)]
-        deadline = time.monotonic() + timeout
-        stashed: list = []
         try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    raise MessageTimeout(
-                        f"rank {self._rank}: no message with tag {tag} from "
-                        f"rank {source} within {timeout:g}s"
-                    )
-                try:
-                    got_tag, value = chan.get(timeout=remaining)
-                except queue.Empty:
-                    raise MessageTimeout(
-                        f"rank {self._rank}: no message with tag {tag} from "
-                        f"rank {source} within {timeout:g}s"
-                    ) from None
-                if got_tag == tag:
-                    return value
-                if strict_tags:
-                    raise ValueError(
-                        f"rank {self._rank}: tag mismatch from rank {source} "
-                        f"(expected {tag}, got {got_tag})"
-                    )
-                stashed.append((got_tag, value))
-        finally:
-            for item in stashed:
-                chan.put(item)
+            got_tag, value = self._shared.queues[(source, self._rank)].get(
+                timeout=timeout
+            )
+        except queue.Empty:
+            raise MessageTimeout(
+                f"rank {self._rank}: no message with tag {tag} from "
+                f"rank {source} within {timeout:g}s"
+            ) from None
+        if got_tag != tag:
+            raise ValueError(
+                f"rank {self._rank}: tag mismatch from rank {source} "
+                f"(expected {tag}, got {got_tag})"
+            )
+        return value

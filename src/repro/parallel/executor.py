@@ -15,12 +15,11 @@ rank unwinds with :class:`~repro.parallel.comm.SpmdAbort` and the
 *original* exception is re-raised to the caller.
 
 Fault tolerance: :func:`spmd_run` accepts a
-:class:`~repro.resilience.faults.FaultInjector` that can kill a rank,
-drop/delay a message, or corrupt a reduce buffer at a configured step, and
-:func:`spmd_run_resilient` wraps the whole run in retry-with-backoff — the
-restart-after-node-loss model of the paper's production context (one-shot
-fault specs are consumed by the failing attempt, so the retried run
-completes cleanly).
+:class:`~repro.resilience.faults.FaultInjector` that can kill a rank at a
+configured collective, and :func:`spmd_run_resilient` wraps the whole run
+in retry-with-backoff — the restart-after-node-loss model of the paper's
+production context (one-shot fault specs are consumed by the failing
+attempt, so the retried run completes cleanly).
 """
 
 from __future__ import annotations

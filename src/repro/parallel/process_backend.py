@@ -21,8 +21,7 @@ Data movement:
   them long after the posting ranks moved on — genuine compute/comm
   overlap for the pipelined GEMM+Reduce,
 * point-to-point ``send``/``recv`` use one ``multiprocessing.Queue`` per
-  ordered rank pair, preserving the thread backend's tag semantics
-  (including the fault injector's drop/delay hooks).
+  ordered rank pair, preserving the thread backend's tag semantics.
 
 Rank programs and their arguments are inherited through ``fork`` — no
 pickling of closures — which is why this backend requires a POSIX start
@@ -420,7 +419,6 @@ class ProcessCommunicator(Communicator):
             f"ireduce payload must be an ndarray, got {type(value).__name__}",
         )
         self._enter("reduce", value, detail=f"root={root},op=sum,async", track=False)
-        value = self._fault_corrupt("reduce", value)
         if wire_dtype is None:
             accumulate = None
             arr = np.ascontiguousarray(value)

@@ -9,12 +9,11 @@ reproduction:
   three iterative loops (SCF, LOBPCG, the ISDF pipeline) plus real-time
   propagation, built on :mod:`repro.utils.serialization`;
 * :mod:`repro.resilience.faults` — a fault-injection harness wired into
-  the SPMD executor and communicator: kill a rank, drop or delay a
-  message, or corrupt a reduce buffer at a configured step;
-* :mod:`repro.resilience.policies` — retry-with-backoff, reliable
-  (ack-based) point-to-point delivery, verified collectives, and graceful
-  degradation (scipy->numpy FFT, K-Means->QRCP selection, iterative->dense
-  eigensolver).
+  the SPMD communicator and the checkpointing loops: kill a rank at a
+  configured collective, or crash a loop at a configured step;
+* :mod:`repro.resilience.policies` — whole-run retry-with-backoff and
+  graceful degradation (scipy->numpy FFT, K-Means->QRCP selection,
+  iterative->dense eigensolver).
 """
 
 from repro.resilience.checkpoint import (
@@ -38,10 +37,6 @@ from repro.resilience.faults import (
 from repro.resilience.policies import (
     ResilientFFTEngine,
     RetryPolicy,
-    reliable_recv,
-    reliable_send,
-    verified_allreduce,
-    with_retry,
 )
 
 __all__ = [
@@ -59,8 +54,4 @@ __all__ = [
     "InjectedRankFailure",
     "ResilientFFTEngine",
     "RetryPolicy",
-    "reliable_recv",
-    "reliable_send",
-    "verified_allreduce",
-    "with_retry",
 ]

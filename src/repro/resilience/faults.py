@@ -7,13 +7,6 @@ consulted from well-defined hook points:
   a matching ``kill_rank`` spec raises :class:`InjectedRankFailure`, which
   the executor treats exactly like a crashed rank (barrier abort, peers
   unwind with ``SpmdAbort``, the failure reaches the caller).
-* ``on_send(src, dest)`` — before a point-to-point send; a matching
-  ``drop_message`` spec makes the message vanish, ``delay_message`` holds
-  it for ``spec.delay`` seconds.
-* ``corrupt_value(rank, op, value)`` — before a rank contributes its
-  buffer to ``reduce``/``allreduce``; a matching ``corrupt_reduce`` spec
-  poisons the contribution with NaNs (how silent network/memory corruption
-  typically surfaces in summed float buffers).
 * ``on_loop_step(tag, step)`` — from checkpointing loops (SCF / LOBPCG /
   ISDF / RT); a matching ``kill_loop`` spec raises :class:`InjectedFault`
   *after* the step's snapshot was written, modelling a crash between
@@ -31,8 +24,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "FAULT_KINDS",
     "FaultInjector",
@@ -42,13 +33,7 @@ __all__ = [
 ]
 
 #: Supported fault kinds.
-FAULT_KINDS = (
-    "kill_rank",
-    "drop_message",
-    "delay_message",
-    "corrupt_reduce",
-    "kill_loop",
-)
+FAULT_KINDS = ("kill_rank", "kill_loop")
 
 
 class InjectedFault(RuntimeError):
@@ -89,11 +74,9 @@ class FaultSpec:
     rank:
         Restrict to one rank (``None`` = any rank).
     op:
-        Restrict to one collective name (``kill_rank`` / ``corrupt_reduce``).
+        Restrict to one collective name (``kill_rank`` only).
     tag:
         Loop tag filter for ``kill_loop`` (e.g. ``"lobpcg"``, ``"scf"``).
-    delay:
-        Seconds to hold a message (``delay_message`` only).
     once:
         Deactivate after the first trigger (default) so a retried run
         succeeds; ``False`` keeps firing on every matching event.
@@ -104,7 +87,6 @@ class FaultSpec:
     rank: int | None = None
     op: str | None = None
     tag: str | None = None
-    delay: float = 0.0
     once: bool = True
     triggered: int = field(default=0, compare=False)
 
@@ -119,18 +101,6 @@ class FaultSpec:
     @property
     def active(self) -> bool:
         return not (self.once and self.triggered > 0)
-
-
-def _poison(value):
-    """Return a NaN-poisoned copy of a reduce contribution."""
-    if isinstance(value, np.ndarray):
-        bad = np.array(value, dtype=float if not np.iscomplexobj(value) else complex)
-        bad.reshape(-1)[0] = np.nan
-        return bad
-    if isinstance(value, (list, tuple)):
-        seq = [_poison(v) for v in value]
-        return type(value)(seq) if isinstance(value, tuple) else seq
-    return float("nan")
 
 
 class FaultInjector:
@@ -192,21 +162,6 @@ class FaultInjector:
             spec = self._fire("kill_rank", count, rank=rank, op=op)
         if spec is not None:
             raise InjectedRankFailure(rank, op, count)
-
-    def on_send(self, src: int, dest: int, tag: int | None = None) -> FaultSpec | None:
-        """Called before a p2p send; returns a drop/delay spec or None."""
-        with self._lock:
-            count = self._next_count(("p2p", src))
-            return self._fire(
-                "drop_message", count, rank=src, tag=tag
-            ) or self._fire("delay_message", count, rank=src, tag=tag)
-
-    def corrupt_value(self, rank: int, op: str, value):
-        """Called before a rank contributes to a reduction."""
-        with self._lock:
-            count = self._next_count(("corrupt_reduce", rank, op))
-            spec = self._fire("corrupt_reduce", count, rank=rank, op=op)
-        return _poison(value) if spec is not None else value
 
     def on_loop_step(self, tag: str, step: int) -> None:
         """Called by checkpointing loops after snapshotting ``step``."""

@@ -1,4 +1,4 @@
-"""Config objects: round-trip, immutability, validation, deprecation shims."""
+"""Config objects: round-trip, immutability, validation, deprecation warnings."""
 
 import dataclasses
 import warnings
@@ -114,11 +114,6 @@ class TestValidation:
         assert other.n_excitations == 3
         assert cfg.method == "implicit-kmeans-isdf-lobpcg"
 
-    def test_retry_policy_from_resilience(self):
-        policy = api.ResilienceConfig(max_retries=5, backoff=0.5).retry_policy()
-        assert policy.max_retries == 5
-        assert policy.backoff == 0.5
-
     def test_checkpointer_disabled_without_dir(self):
         assert api.ResilienceConfig().checkpointer("scf") is None
 
@@ -161,16 +156,6 @@ class TestDeprecationShims:
         dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
         assert len(dep) == 1
 
-    def test_solve_tddft_legacy_kwargs_warn_exactly_once(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.solve_tddft(tiny_gs, method="naive", n_excitations=2)
-            api.solve_tddft(tiny_gs, method="naive", n_excitations=2)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "TDDFTConfig" in str(dep[0].message)
-
     def test_solver_legacy_kwargs_warn_exactly_once(self, tiny_gs):
         reset_deprecation_warnings()
         solver = LRTDDFTSolver(tiny_gs, seed=0)
@@ -180,36 +165,3 @@ class TestDeprecationShims:
             solver.solve("naive", n_excitations=2)
         dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
         assert len(dep) == 1
-
-    def test_config_plus_legacy_kwargs_is_an_error(self, tiny_gs):
-        with pytest.raises(ValueError, match="config"):
-            api.solve_tddft(tiny_gs, api.TDDFTConfig(), n_excitations=2)
-
-    def test_config_path_warns_once_for_the_function(self, tiny_gs):
-        # Since the CalculationRequest redesign the *function itself* is the
-        # deprecated surface: even the config path warns (exactly once),
-        # pointing at CalculationRequest.
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.solve_tddft(
-                tiny_gs, api.TDDFTConfig(method="naive", n_excitations=2)
-            )
-            api.solve_tddft(
-                tiny_gs, api.TDDFTConfig(method="naive", n_excitations=2)
-            )
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "CalculationRequest" in str(dep[0].message)
-
-    def test_legacy_and_config_paths_agree(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = api.solve_tddft(tiny_gs, method="naive", n_excitations=3)
-        modern = api.solve_tddft(
-            tiny_gs, api.TDDFTConfig(method="naive", n_excitations=3)
-        )
-        import numpy as np
-
-        np.testing.assert_array_equal(legacy.energies, modern.energies)

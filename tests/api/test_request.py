@@ -1,7 +1,6 @@
-"""CalculationRequest: canonical identity, cache-key stability, shims."""
+"""CalculationRequest: canonical identity, cache-key stability, execution."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.api import (
     SCFConfig,
     TDDFTConfig,
     execute_request,
-    reset_deprecation_warnings,
     structure_from_dict,
     structure_to_dict,
 )
@@ -151,7 +149,7 @@ class TestCacheKeyStability:
         degraded = CalculationRequest(
             kind="scf",
             structure=cell,
-            resilience=api.ResilienceConfig(max_retries=5),
+            resilience=api.ResilienceConfig(dense_fallback_max_pairs=0),
         )
         assert plain.cache_key() != degraded.cache_key()
 
@@ -197,60 +195,6 @@ class TestExecution:
         iterations = [e["iteration"] for e in events]
         assert iterations == sorted(iterations)
         assert events[-1]["converged"]
-
-
-class TestLegacyShimsRouteThroughRequests:
-    @pytest.fixture()
-    def tiny_gs(self, cell):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-
-    def _deprecations(self, caught):
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_scf_warns_once_and_matches_request(self, cell):
-        reset_deprecation_warnings()
-        request = CalculationRequest(
-            kind="scf", structure=cell, scf=SCFConfig(ecut=4.0, tol=1e-6)
-        )
-        direct = request.compute()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-            api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "CalculationRequest" in str(dep[0].message)
-        assert legacy.total_energy == direct.total_energy
-        np.testing.assert_array_equal(legacy.density, direct.density)
-
-    def test_run_rt_warns_once(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.run_rt(tiny_gs, n_steps=3, dt=0.1)
-            api.run_rt(tiny_gs, n_steps=3, dt=0.1)
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "RTConfig" in str(dep[0].message)
-        assert len(result.times) > 0
-
-    def test_run_batch_warns_once(self, cell):
-        reset_deprecation_warnings()
-        config = api.BatchConfig(
-            scf=SCFConfig(ecut=4.0, tol=1e-6),
-            tddft=TDDFTConfig(n_excitations=2, n_valence=1, n_conduction=2, seed=0),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.run_batch([cell, cell], config)
-            api.run_batch([cell, cell], config)
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "BatchConfig" in str(dep[0].message)
-        assert result.records[1].reused_identical
 
 
 class TestCasidaFullSpace:

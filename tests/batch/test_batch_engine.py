@@ -9,7 +9,13 @@ runs are module-scoped fixtures shared by the equivalence tests.
 import numpy as np
 import pytest
 
-from repro.api import BatchConfig, CalculationRequest, SCFConfig, TDDFTConfig, run_batch
+from repro.api import (
+    BatchConfig,
+    CalculationRequest,
+    SCFConfig,
+    TDDFTConfig,
+    execute_request,
+)
 from repro.batch import engine as batch_engine
 from repro.atoms import silicon_primitive_cell
 from repro.batch import perturbed_trajectory
@@ -31,6 +37,12 @@ def _config(**overrides):
     )
     base.update(overrides)
     return BatchConfig(**base)
+
+
+def run_batch(cells, config, **kwargs):
+    """Run ``cells`` as one ``kind="batch"`` request."""
+    request = CalculationRequest(kind="batch", structure=tuple(cells), batch=config)
+    return execute_request(request, **kwargs).result
 
 
 @pytest.fixture(scope="module")

@@ -50,14 +50,6 @@ class TestPositive:
         )
         assert len(findings_in(src)) == 1
 
-    def test_reliable_recv_result_is_tracked(self):
-        src = (
-            "def prog(comm):\n"
-            "    v = reliable_recv(comm, source=0)\n"
-            "    v[0] = 1\n"
-        )
-        assert len(findings_in(src)) == 1
-
 
 class TestNegative:
     def test_copy_before_mutation_is_the_fix(self):

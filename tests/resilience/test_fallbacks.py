@@ -151,13 +151,20 @@ class TestSelectionFallback:
             )
 
 
+def _solve_tddft(gs, config, resilience=None):
+    request = api.CalculationRequest(
+        kind="tddft", structure=gs.basis.cell, tddft=config, resilience=resilience
+    )
+    return api.execute_request(request, ground_state=gs).result
+
+
 class TestDenseEigFallback:
     def test_unconverged_implicit_solve_falls_back_to_dense(self, tiny_gs):
         config = api.TDDFTConfig(
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(
+        result = _solve_tddft(
             tiny_gs, config, resilience=api.ResilienceConfig()
         )
         assert result.converged
@@ -168,7 +175,7 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(
+        result = _solve_tddft(
             tiny_gs, config,
             resilience=api.ResilienceConfig(dense_fallback_max_pairs=0),
         )
@@ -180,7 +187,7 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(tiny_gs, config)
+        result = _solve_tddft(tiny_gs, config)
         assert not result.converged
         assert result.method == "implicit-kmeans-isdf-lobpcg"
 
@@ -189,10 +196,10 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        fallback = api.solve_tddft(
+        fallback = _solve_tddft(
             tiny_gs, config, resilience=api.ResilienceConfig()
         )
-        direct = api.solve_tddft(
+        direct = _solve_tddft(
             tiny_gs, config.replace(method="kmeans-isdf", max_iter=400)
         )
         np.testing.assert_allclose(

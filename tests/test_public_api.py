@@ -47,8 +47,8 @@ class TestDescribe:
 
     def test_functions_record_signatures(self, tool):
         surface = tool.describe_api()
-        assert surface["run_scf"]["kind"] == "function"
-        assert "resilience" in surface["run_scf"]["signature"]
+        assert surface["execute_request"]["kind"] == "function"
+        assert "ground_state" in surface["execute_request"]["signature"]
 
     def test_request_methods_are_covered(self, tool):
         surface = tool.describe_api()

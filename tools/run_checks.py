@@ -50,8 +50,9 @@ Runs, in order:
     correctness flags and dimensionless ratios (never raw seconds); skip
     with ``--no-bench`` for the fast loop, refresh the committed reports
     with ``python tools/check_bench.py --update-bench``,
-16. **tier-1 tests** — ``pytest -x -q`` (skip with ``--no-tests`` for the
-    fast pre-commit loop).
+16. **tier-1 tests** — ``pytest -x`` (skip with ``--no-tests`` for the
+    fast pre-commit loop); the summary line carries pytest's own
+    passed-test count and wall time.
 
 Exit status is nonzero if any mandatory stage fails.  Optional tools that
 are absent are reported as SKIP, never as failures — the repo must be
@@ -63,6 +64,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import time
@@ -89,26 +91,43 @@ class Gate:
     """Collects stage results and renders the summary table."""
 
     def __init__(self) -> None:
-        self.results: list[tuple[str, str, float]] = []
+        self.results: list[tuple[str, str, float, str]] = []
 
-    def run(self, name: str, argv: list[str], *, optional_module: str | None = None) -> None:
+    def run(
+        self,
+        name: str,
+        argv: list[str],
+        *,
+        optional_module: str | None = None,
+        note: re.Pattern | None = None,
+    ) -> None:
+        """Run one stage; ``note`` picks the last matching output line
+        into the summary (the stage's output is still echoed live)."""
         if optional_module is not None and not _have_module(optional_module):
             print(f"-- {name}: SKIP ({optional_module} not installed)")
-            self.results.append((name, "SKIP", 0.0))
+            self.results.append((name, "SKIP", 0.0, ""))
             return
         shown = " ".join(a if len(a) < 80 else a[:77].replace("\n", " ") + "..." for a in argv)
-        print(f"-- {name}: {shown}")
+        print(f"-- {name}: {shown}", flush=True)
         start = time.perf_counter()
-        proc = subprocess.run(argv, cwd=REPO_ROOT, env=_env())
+        found = ""
+        with subprocess.Popen(
+            argv, cwd=REPO_ROOT, env=_env(), stdout=subprocess.PIPE, text=True
+        ) as proc:
+            for line in proc.stdout:
+                print(line, end="", flush=True)
+                match = note.search(line) if note is not None else None
+                if match:
+                    found = match.group(0)
         elapsed = time.perf_counter() - start
         status = "ok" if proc.returncode == 0 else f"FAIL (exit {proc.returncode})"
-        self.results.append((name, status, elapsed))
+        self.results.append((name, status, elapsed, found))
 
     def summary(self) -> int:
         print("\n== run_checks summary ==")
         failed = 0
-        for name, status, elapsed in self.results:
-            print(f"  {name:<18s} {status:<14s} {elapsed:6.1f}s")
+        for name, status, elapsed, found in self.results:
+            print(f"  {name:<18s} {status:<14s} {elapsed:6.1f}s  {found}".rstrip())
             failed += status.startswith("FAIL")
         if failed:
             print(f"run_checks: {failed} stage(s) failed")
@@ -465,6 +484,10 @@ print("serve smoke: ok (cache hit bit-identical, warm start engaged)")
 """
 
 
+#: pytest's closing totals, e.g. "1478 passed, 2 skipped in 75.32s (0:01:15)".
+_PYTEST_TOTALS = re.compile(r"\d+ (passed|failed).* in [\d.]+s( \([\d:]+\))?")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--no-tests", action="store_true",
@@ -495,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         gate.run("precision-smoke", [sys.executable, "-c", _PRECISION_SMOKE])
     else:
         print("-- precision-smoke: SKIP (--no-precision)")
-        gate.results.append(("precision-smoke", "SKIP", 0.0))
+        gate.results.append(("precision-smoke", "SKIP", 0.0, ""))
     gate.run("serve-smoke", [sys.executable, "-c", _SERVE_SMOKE])
     gate.run("public-api", [sys.executable, os.path.join("tools", "check_public_api.py")])
     gate.run("no-pyc", [sys.executable, os.path.join("tools", "check_no_pyc.py")])
@@ -503,12 +526,15 @@ def main(argv: list[str] | None = None) -> int:
         gate.run("bench-gate", [sys.executable, os.path.join("tools", "check_bench.py")])
     else:
         print("-- bench-gate: SKIP (--no-bench)")
-        gate.results.append(("bench-gate", "SKIP", 0.0))
+        gate.results.append(("bench-gate", "SKIP", 0.0, ""))
     if not args.no_tests:
-        gate.run("tier1-tests", [sys.executable, "-m", "pytest", "-x", "-q"])
+        # pyproject's addopts already holds -q; a second -q would drop the
+        # "N passed ... in S s" line the summary quotes.
+        gate.run("tier1-tests", [sys.executable, "-m", "pytest", "-x"],
+                 note=_PYTEST_TOTALS)
     else:
         print("-- tier1-tests: SKIP (--no-tests)")
-        gate.results.append(("tier1-tests", "SKIP", 0.0))
+        gate.results.append(("tier1-tests", "SKIP", 0.0, ""))
     return gate.summary()
 
 
